@@ -6,18 +6,19 @@
 //   2. PartitionedGraphStore::Build external-sorts the file by Hilbert
 //      key through the metered DiskManager and materialises K region
 //      stores one at a time, then customizes the boundary overlay.
-//   3. ShardedRouteServer answers random trips in stitched mode
-//      (restricted Dijkstra + in-memory overlay + restricted Dijkstra)
-//      and, as the unpartitioned baseline, in flat GlobalDijkstra mode
-//      over the same store.
+//   3. ShardedRouteServer answers random trips in stitched mode (one A*
+//      over the source and target partition stores and the in-memory
+//      overlay of the others) and, as the unpartitioned baseline, in flat
+//      GlobalDijkstra mode over the same store.
 //
 // Gates (checked by scripts/check_perf.py against a checked-in
 // baseline): stitched QPS floor, stitched QPS >= the flat baseline,
 // blocks/query ceiling, peak-RSS ceiling for the streaming build, and
 // stitched-vs-flat exactness.
 //
-// Emits BENCH_continent.json (override with argv[1]); --quick serves a
-// ~100k-node map instead of ~1M for the CI perf smoke.
+// Emits BENCH_continent.json (override with one positional path); --quick
+// serves a ~100k-node map instead of ~1M for the CI perf smoke. --help or
+// any other flag prints usage and exits 2.
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -265,12 +266,22 @@ void Run(const std::string& json_path, bool quick) {
 int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path = "BENCH_continent.json";
+  bool have_path = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else {
+    } else if (arg.rfind("-", 0) != 0 && !have_path) {
       json_path = arg;
+      have_path = true;
+    } else {
+      // --help, an unknown flag or a second path: refuse before any work.
+      std::fprintf(stderr,
+                   "usage: %s [OUTPUT.json] [--quick]\n"
+                   "  OUTPUT.json  result file (default BENCH_continent.json)\n"
+                   "  --quick      ~100k-node map instead of ~1M\n",
+                   argv[0]);
+      return 2;
     }
   }
   atis::bench::Run(json_path, quick);

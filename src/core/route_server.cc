@@ -673,9 +673,10 @@ Status RouteServer::ApplyUpdates(std::span<const EdgeCostUpdate> updates) {
     if (!(e.cost >= 0.0)) {
       return Status::InvalidArgument("negative edge cost in update batch");
     }
+    ATIS_RETURN_NOT_OK(graph::CheckStoreCost(e.u, e.v, e.cost));
     ATIS_ASSIGN_OR_RETURN(const double prior,
                           write_graph_.EdgeCost(e.u, e.v));
-    if (static_cast<double>(static_cast<float>(e.cost)) < prior) {
+    if (graph::StoreCost(e.cost) < prior) {
       any_decrease = true;
     }
   }

@@ -27,12 +27,12 @@ ShardedRouteServer::ShardedRouteServer(
       "partitions (stitched through the boundary overlay)");
   settled_store_metric_ = &reg.GetCounter(
       "atis_partition_settled_store_total",
-      "Store nodes settled by the restricted source/target phases of "
-      "stitched queries (and by flat reference Dijkstras)");
+      "Store nodes settled in the source and target partitions by "
+      "stitched A* queries (and by flat reference Dijkstras)");
   settled_overlay_metric_ = &reg.GetCounter(
       "atis_partition_settled_overlay_total",
-      "Boundary-overlay nodes settled by the in-memory middle phase of "
-      "stitched queries");
+      "Boundary-overlay nodes of other partitions settled by stitched "
+      "A* queries");
   reg.GetGauge("atis_partition_partitions",
                "Partitions (region stores) of the served partitioned store")
       .Set(static_cast<double>(store_->num_partitions()));

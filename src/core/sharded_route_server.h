@@ -8,9 +8,9 @@
 // affinity. A query is routed to the group owning its source partition,
 // so a group's workers keep touching the same partition's blocks — the
 // shared BufferPool sees the same locality the Hilbert layout created —
-// while cross-partition queries are stitched exactly through the
-// partition-boundary overlay (three-phase: source partition, in-memory
-// overlay, target partition).
+// while queries are stitched exactly by one goal-directed A* over the
+// source and target partition stores and the in-memory boundary overlay
+// of every other partition.
 //
 // The store is immutable while serving, so unlike RouteServer there are
 // no per-worker replicas: StitchedDistance and GlobalDijkstra keep all

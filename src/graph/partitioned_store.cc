@@ -50,10 +50,18 @@ struct SortedEdgeRecord {
   double cost;
 };
 
-/// The store keeps edge costs as 4-byte floats; every consumer of a cost
-/// that must agree with a store-served search has to round the same way.
-double StoreCost(double cost) {
-  return static_cast<double>(static_cast<float>(cost));
+using FloatPoint = PartitionedGraphStore::FloatPoint;
+
+FloatPoint ToFloatPoint(const RankedNodeRecord& rec) {
+  return FloatPoint{static_cast<float>(rec.x), static_cast<float>(rec.y)};
+}
+
+/// The one Euclidean distance both v_max and the A* potential use, so
+/// they round identically.
+double Euclid(const FloatPoint& a, const FloatPoint& b) {
+  const double dx = static_cast<double>(a.x) - static_cast<double>(b.x);
+  const double dy = static_cast<double>(a.y) - static_cast<double>(b.y);
+  return std::sqrt(dx * dx + dy * dy);
 }
 
 /// Binary min-heap entry for the in-memory Dijkstras.
@@ -65,6 +73,14 @@ struct HeapEntry {
 using MinHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                         std::greater<HeapEntry>>;
+
+/// A* heap entry: ordered by key = dist + potential.
+struct AStarEntry {
+  double key;
+  double dist;
+  uint32_t label;
+  bool operator>(const AStarEntry& o) const { return key > o.key; }
+};
 
 }  // namespace
 
@@ -216,6 +232,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
         static_cast<size_t>(e.v) >= n) {
       return Status::Corruption("edge endpoint out of range in " + path);
     }
+    ATIS_RETURN_NOT_OK(CheckStoreCost(e.u, e.v, e.cost));
     ATIS_RETURN_NOT_OK(edge_sorter.Add(BuildEdgeRecord{
         static_cast<uint64_t>(rank_of[static_cast<size_t>(e.u)]), e.u, e.v,
         e.cost}));
@@ -257,17 +274,23 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
 
   // Materialise the partitions one at a time. Ghost nodes (remote cross-
   // edge targets) are appended after the owned range so an edge leaving
-  // the partition still has an in-store endpoint to point at.
+  // the partition still has an in-store endpoint to point at. Every edge
+  // lies in its begin node's range, so this loop also sees each edge once
+  // for v_max, the fastest Euclidean speed of the map.
+  double v_max = 0.0;
+  bool free_edge = false;  // positive length at zero cost: no potential
   store->partitions_.resize(num_partitions);
   for (size_t p = 0; p < num_partitions; ++p) {
     Partition& part = store->partitions_[p];
     part.num_owned = static_cast<uint32_t>(cut[p + 1] - cut[p]);
     Graph g;
     part.local_to_global.reserve(part.num_owned + cross_of[p].size());
+    part.xy.reserve(part.num_owned + cross_of[p].size());
     ATIS_RETURN_NOT_OK(node_spill.ReadRange(
         cut[p], cut[p + 1], [&](size_t, const RankedNodeRecord& rec) {
           g.AddNode(rec.x, rec.y);
           part.local_to_global.push_back(rec.id);
+          part.xy.push_back(ToFloatPoint(rec));
         }));
     std::unordered_map<NodeId, NodeId> ghost_local;
     ghost_local.reserve(cross_of[p].size());
@@ -281,6 +304,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
       const NodeId local = g.AddNode(rec.x, rec.y);
       ghost_local.emplace(v, local);
       part.local_to_global.push_back(v);
+      part.xy.push_back(ToFloatPoint(rec));
     }
     if (g.num_nodes() > 32767) {
       return Status::Internal(
@@ -298,6 +322,16 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
                                 ? static_cast<NodeId>(pv & 0xFFFF)
                                 : ghost_local.at(rec.v);
           add_status = g.AddEdge(lu, lv, rec.cost);
+          const double length = Euclid(part.xy[static_cast<size_t>(lu)],
+                                       part.xy[static_cast<size_t>(lv)]);
+          if (length > 0.0) {
+            const double cost = StoreCost(rec.cost);
+            if (cost > 0.0) {
+              v_max = std::max(v_max, length / cost);
+            } else {
+              free_edge = true;
+            }
+          }
         }));
     ATIS_RETURN_NOT_OK(add_status);
     part.store = std::make_unique<RelationalGraphStore>(pool);
@@ -306,6 +340,9 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
     ATIS_RETURN_NOT_OK(part.store->Load(g, load_options));
   }
   node_spill.Clear();
+  if (!free_edge && v_max > 0.0) {
+    store->potential_scale_ = 1.0 / (v_max * (1.0 + 1e-9));
+  }
 
   // Boundary sets: exits = cross-edge sources of p, entries = cross-edge
   // targets owned by p.
@@ -417,9 +454,13 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
                    boundary.end());
     store->overlay_nodes_ = std::move(boundary);
     store->overlay_index_.assign(n, -1);
+    store->overlay_xy_.reserve(store->overlay_nodes_.size());
     for (size_t i = 0; i < store->overlay_nodes_.size(); ++i) {
-      store->overlay_index_[static_cast<size_t>(store->overlay_nodes_[i])] =
-          static_cast<int32_t>(i);
+      const NodeId g = store->overlay_nodes_[i];
+      store->overlay_index_[static_cast<size_t>(g)] = static_cast<int32_t>(i);
+      const uint32_t pk = store->packed(g);
+      store->overlay_xy_.push_back(
+          store->partitions_[pk >> 16].xy[pk & 0xFFFF]);
     }
     store->overlay_adj_.assign(store->overlay_nodes_.size(), {});
     for (const Partition& part : store->partitions_) {
@@ -466,40 +507,6 @@ PartitionedGraphStore::FetchAdjacency(NodeId global) const {
   return rows;
 }
 
-Result<std::vector<double>> PartitionedGraphStore::RestrictedDijkstra(
-    size_t p, const std::vector<std::pair<NodeId, double>>& seeds,
-    uint64_t* settled) const {
-  const Partition& part = partitions_[p];
-  std::vector<double> dist(part.local_to_global.size(), kInf);
-  MinHeap heap;
-  for (const auto& [local, d] : seeds) {
-    if (d < dist[static_cast<size_t>(local)]) {
-      dist[static_cast<size_t>(local)] = d;
-      heap.push(HeapEntry{d, static_cast<uint32_t>(local)});
-    }
-  }
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (top.dist > dist[top.node]) continue;
-    if (top.node >= part.num_owned) continue;  // ghost: outside p
-    if (settled != nullptr) ++*settled;
-    ATIS_ASSIGN_OR_RETURN(std::vector<RelationalGraphStore::EdgeRow> rows,
-                          part.store->FetchAdjacency(
-                              static_cast<NodeId>(top.node)));
-    for (const RelationalGraphStore::EdgeRow& row : rows) {
-      const size_t to = static_cast<size_t>(row.end);
-      if (to >= part.num_owned) continue;  // edge leaves the partition
-      const double nd = top.dist + row.cost;
-      if (nd < dist[to]) {
-        dist[to] = nd;
-        heap.push(HeapEntry{nd, static_cast<uint32_t>(to)});
-      }
-    }
-  }
-  return dist;
-}
-
 Result<PartitionedGraphStore::RouteCost>
 PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
                                         QueryStats* stats) const {
@@ -510,70 +517,80 @@ PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
   }
   if (stats != nullptr) stats->cross_partition = (ps != pt);
   if (source == destination) return RouteCost{true, 0.0};
-  const NodeId local_s = static_cast<NodeId>(packed(source) & 0xFFFF);
-  const NodeId local_t = static_cast<NodeId>(packed(destination) & 0xFFFF);
-
-  // Phase 1: restricted Dijkstra in the source partition.
-  uint64_t settled1 = 0;
-  ATIS_ASSIGN_OR_RETURN(
-      std::vector<double> dist_s,
-      RestrictedDijkstra(static_cast<size_t>(ps), {{local_s, 0.0}},
-                         &settled1));
-  if (stats != nullptr) stats->settled_source = settled1;
-  double best = kInf;
-  if (ps == pt) best = dist_s[static_cast<size_t>(local_t)];
-
-  // Phase 2: Dijkstra over the in-memory boundary overlay, seeded with
-  // the source partition's exit distances.
   const Partition& spart = partitions_[static_cast<size_t>(ps)];
-  std::vector<double> dist_ov(overlay_nodes_.size(), kInf);
-  MinHeap heap;
-  for (const NodeId exit : spart.exits) {
-    const double d =
-        dist_s[static_cast<size_t>(packed(exit) & 0xFFFF)];
-    if (!(d < kInf)) continue;
-    const int32_t idx = overlay_index_[static_cast<size_t>(exit)];
-    if (d < dist_ov[static_cast<size_t>(idx)]) {
-      dist_ov[static_cast<size_t>(idx)] = d;
-      heap.push(HeapEntry{d, static_cast<uint32_t>(idx)});
-    }
-  }
-  uint64_t settled2 = 0;
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (top.dist > dist_ov[top.node]) continue;
-    ++settled2;
-    for (const auto& [to, cost] : overlay_adj_[top.node]) {
-      const double nd = top.dist + cost;
-      if (nd < dist_ov[to]) {
-        dist_ov[to] = nd;
-        heap.push(HeapEntry{nd, to});
-      }
-    }
-  }
-  if (stats != nullptr) stats->settled_overlay = settled2;
-
-  // Phase 3: multi-source restricted Dijkstra in the target partition,
-  // seeded with the overlay labels of its entry nodes.
   const Partition& tpart = partitions_[static_cast<size_t>(pt)];
-  std::vector<std::pair<NodeId, double>> seeds;
-  for (const NodeId entry : tpart.entries) {
-    const int32_t idx = overlay_index_[static_cast<size_t>(entry)];
-    const double d = dist_ov[static_cast<size_t>(idx)];
-    if (!(d < kInf)) continue;
-    seeds.emplace_back(static_cast<NodeId>(packed(entry) & 0xFFFF), d);
-  }
-  if (!seeds.empty()) {
-    uint64_t settled3 = 0;
+
+  // Labels of the query graph: the source partition's owned nodes, then
+  // the target partition's (when it differs), then every overlay node.
+  // Overlay labels of the source and target partitions are never used:
+  // their stores are searched instead.
+  const uint32_t target_base = ps == pt ? 0 : spart.num_owned;
+  const uint32_t overlay_base = target_base + tpart.num_owned;
+  auto label_of = [&](NodeId global) -> uint32_t {
+    const uint32_t pk = packed(global);
+    const int p = static_cast<int>(pk >> 16);
+    if (p == ps) return pk & 0xFFFF;
+    if (p == pt) return target_base + (pk & 0xFFFF);
+    return overlay_base + static_cast<uint32_t>(
+                              overlay_index_[static_cast<size_t>(global)]);
+  };
+  const uint32_t goal = label_of(destination);
+  const FloatPoint goal_xy = tpart.xy[packed(destination) & 0xFFFF];
+
+  std::vector<double> dist(overlay_base + overlay_nodes_.size(), kInf);
+  std::priority_queue<AStarEntry, std::vector<AStarEntry>,
+                      std::greater<AStarEntry>>
+      heap;
+  auto relax = [&](uint32_t label, const FloatPoint& xy, double d) {
+    if (d < dist[label]) {
+      dist[label] = d;
+      heap.push(AStarEntry{d + Euclid(xy, goal_xy) * potential_scale_, d,
+                           label});
+    }
+  };
+  relax(packed(source) & 0xFFFF, spart.xy[packed(source) & 0xFFFF], 0.0);
+
+  // No closed set: an entry is stale only when its label has improved, so
+  // a node re-opened by a rounding-level potential inconsistency is simply
+  // expanded again and the early stop stays exact.
+  QueryStats counts;
+  RouteCost result;
+  while (!heap.empty()) {
+    const AStarEntry top = heap.top();
+    heap.pop();
+    if (top.dist > dist[top.label]) continue;
+    if (top.label == goal) {
+      result = RouteCost{true, top.dist};
+      break;
+    }
+    if (top.label >= overlay_base) {
+      ++counts.settled_overlay;
+      for (const auto& [to, cost] : overlay_adj_[top.label - overlay_base]) {
+        relax(label_of(overlay_nodes_[to]), overlay_xy_[to], top.dist + cost);
+      }
+      continue;
+    }
+    const bool in_target = ps != pt && top.label >= target_base;
+    const Partition& part = in_target ? tpart : spart;
+    const uint32_t base = in_target ? target_base : 0;
+    ++(in_target ? counts.settled_target : counts.settled_source);
     ATIS_ASSIGN_OR_RETURN(
-        std::vector<double> dist_t,
-        RestrictedDijkstra(static_cast<size_t>(pt), seeds, &settled3));
-    if (stats != nullptr) stats->settled_target = settled3;
-    best = std::min(best, dist_t[static_cast<size_t>(local_t)]);
+        std::vector<RelationalGraphStore::EdgeRow> rows,
+        part.store->FetchAdjacency(static_cast<NodeId>(top.label - base)));
+    for (const RelationalGraphStore::EdgeRow& row : rows) {
+      const size_t to = static_cast<size_t>(row.end);
+      const uint32_t label =
+          to < part.num_owned ? base + static_cast<uint32_t>(to)
+                              : label_of(part.local_to_global[to]);
+      relax(label, part.xy[to], top.dist + row.cost);
+    }
   }
-  if (!(best < kInf)) return RouteCost{false, 0.0};
-  return RouteCost{true, best};
+  if (stats != nullptr) {
+    stats->settled_source = counts.settled_source;
+    stats->settled_overlay = counts.settled_overlay;
+    stats->settled_target = counts.settled_target;
+  }
+  return result;
 }
 
 Result<PartitionedGraphStore::RouteCost>

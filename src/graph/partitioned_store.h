@@ -17,15 +17,16 @@
 //      partition keeps its tuple in the owner's S relation but points at
 //      a "ghost" local id — a stub node carrying the remote endpoint's
 //      coordinates — with a per-partition ghost -> global table.
-//   4. Cross-partition routing is stitched exactly through a boundary
-//      overlay (the PR-8 idea at inter-partition scale): per partition,
-//      a customized dense matrix of within-partition shortest costs from
-//      every entry boundary node to every exit boundary node, plus the
-//      cross edges themselves. A query runs restricted Dijkstra in the
-//      source partition, Dijkstra over the in-memory overlay, and a
-//      multi-source restricted Dijkstra in the target partition — the
-//      standard three-phase argument makes the stitched cost equal to
-//      the single-store answer.
+//   4. Queries are answered exactly by one A* search over the standard
+//      customizable-route-planning query graph. The source and target
+//      partitions are searched through their stores (metered fetches);
+//      every other partition is represented only by its boundary
+//      overlay nodes (the A* v5 overlay at inter-partition scale): per
+//      partition, customized within-partition shortest costs from every
+//      entry boundary node to every exit boundary node, plus the cross
+//      edges themselves. The potential is euclid(v, t) / v_max, with
+//      v_max the fastest edge of the map, so the search is goal directed
+//      and stops as soon as the destination is settled.
 //
 // All partitions share one BufferPool (and so one metered DiskManager):
 // the cache is a global resource, partitioning only the tuple space.
@@ -61,11 +62,17 @@ class PartitionedGraphStore {
     double cost = 0.0;
   };
 
+  /// Float coordinates: what the A* potential and v_max are computed on.
+  struct FloatPoint {
+    float x;
+    float y;
+  };
+
   /// Per-query work counters for the stitched path, for metrics.
   struct QueryStats {
-    uint64_t settled_source = 0;   ///< phase-1 settled store nodes
-    uint64_t settled_overlay = 0;  ///< phase-2 settled boundary nodes
-    uint64_t settled_target = 0;   ///< phase-3 settled store nodes
+    uint64_t settled_source = 0;   ///< settled source-partition store nodes
+    uint64_t settled_overlay = 0;  ///< settled overlay nodes elsewhere
+    uint64_t settled_target = 0;   ///< settled target-partition store nodes
     bool cross_partition = false;
   };
 
@@ -98,9 +105,10 @@ class PartitionedGraphStore {
   Result<std::vector<RelationalGraphStore::EdgeRow>> FetchAdjacency(
       NodeId global) const;
 
-  /// Exact point-to-point cost via the three-phase overlay stitch.
-  /// Phases 1 and 3 run against the partition stores (metered); phase 2
-  /// is in-memory. Thread-safe: no store working-state is touched.
+  /// Exact point-to-point cost: A* over the source and target partition
+  /// stores (metered) and the in-memory overlay of every other
+  /// partition, stopping when the destination is settled. Thread-safe:
+  /// no store working-state is touched.
   Result<RouteCost> StitchedDistance(NodeId source, NodeId destination,
                                      QueryStats* stats = nullptr) const;
 
@@ -116,6 +124,8 @@ class PartitionedGraphStore {
     uint32_t num_owned = 0;
     /// Local id -> global id, owned nodes then ghosts.
     std::vector<NodeId> local_to_global;
+    /// Local id -> coordinates, parallel to local_to_global.
+    std::vector<FloatPoint> xy;
     /// Boundary nodes (global ids, sorted): targets of incoming cross
     /// edges (entries) and sources of outgoing ones (exits).
     std::vector<NodeId> entries;
@@ -132,17 +142,6 @@ class PartitionedGraphStore {
   uint32_t packed(NodeId global) const {
     return global_map_[static_cast<size_t>(global)];
   }
-  NodeId LocalToGlobal(size_t p, NodeId local) const {
-    return partitions_[p].local_to_global[static_cast<size_t>(local)];
-  }
-
-  /// Restricted Dijkstra inside partition p from `seeds` (local id,
-  /// initial dist), over the partition store's adjacency (metered).
-  /// Returns the final distance labels (owned + ghost slots; ghosts are
-  /// never expanded). `settled` counts pops.
-  Result<std::vector<double>> RestrictedDijkstra(
-      size_t p, const std::vector<std::pair<NodeId, double>>& seeds,
-      uint64_t* settled) const;
 
   uint64_t num_nodes_ = 0;
   uint64_t num_edges_ = 0;
@@ -150,13 +149,18 @@ class PartitionedGraphStore {
   std::vector<Partition> partitions_;
   /// Global id -> packed(partition, local), kUnmapped for invalid ids.
   std::vector<uint32_t> global_map_;
-  /// Overlay graph over boundary nodes: ids, global->overlay index, and
-  /// adjacency (entry->exit customized arcs + cross edges).
+  /// Overlay graph over boundary nodes: ids, coordinates, global->overlay
+  /// index, and adjacency (entry->exit customized arcs + cross edges).
   std::vector<NodeId> overlay_nodes_;
+  std::vector<FloatPoint> overlay_xy_;
   std::vector<std::vector<std::pair<uint32_t, double>>> overlay_adj_;
   /// Overlay index of a global id, or -1 (parallel to global_map_; dense
   /// int32 keeps lookups O(1) without a hash map).
   std::vector<int32_t> overlay_index_;
+  /// A* potential per unit of Euclidean distance: 1 / v_max, with v_max
+  /// grown by a relative 1e-9 against rounding; 0 (plain Dijkstra) when
+  /// some edge of positive length costs nothing.
+  double potential_scale_ = 0.0;
 };
 
 }  // namespace atis::graph

@@ -53,6 +53,15 @@ struct EdgeSpillRecord {
 };
 }  // namespace
 
+Status CheckStoreCost(NodeId u, NodeId v, double cost) {
+  if (std::abs(cost) <= std::numeric_limits<float>::max()) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "edge " + std::to_string(u) + " -> " + std::to_string(v) + " cost " +
+      std::to_string(cost) + " does not fit the store's 4-byte float");
+}
+
 Schema RelationalGraphStore::EdgeSchema() {
   // Packed size 12 bytes; padded to the paper's T_s = 32 (the original
   // stored additional per-segment attributes: speed, occupancy, road type).
@@ -147,6 +156,7 @@ Status RelationalGraphStore::Load(const Graph& g,
     std::vector<storage::RecordId>& rids =
         adjacency_rids_[static_cast<size_t>(u)];
     for (const Edge& e : g.Neighbors(u)) {
+      ATIS_RETURN_NOT_OK(CheckStoreCost(u, e.to, e.cost));
       ATIS_ASSIGN_OR_RETURN(storage::RecordId rid,
                             s_.Insert(ToTuple(EdgeRow{u, e.to, e.cost})));
       if (pages.empty() || pages.back() != rid.page) {
@@ -253,6 +263,7 @@ Status RelationalGraphStore::LoadStreaming(const std::string& path,
     if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
       return Status::Corruption("edge endpoint out of range in " + path);
     }
+    ATIS_RETURN_NOT_OK(CheckStoreCost(e.u, e.v, e.cost));
     ATIS_RETURN_NOT_OK(edge_sorter.Add(EdgeSpillRecord{
         static_cast<uint64_t>(rank_of[static_cast<size_t>(e.u)]), e.u, e.v,
         e.cost}));
@@ -341,6 +352,7 @@ Status RelationalGraphStore::UpdateEdgeCost(NodeId u, NodeId v,
   if (cost < 0.0) {
     return Status::InvalidArgument("edge cost must be non-negative");
   }
+  ATIS_RETURN_NOT_OK(CheckStoreCost(u, v, cost));
   ATIS_ASSIGN_OR_RETURN(auto rids, s_.IndexLookup(kBeginField, u));
   for (const storage::RecordId rid : rids) {
     ATIS_ASSIGN_OR_RETURN(Tuple t, s_.Get(rid));

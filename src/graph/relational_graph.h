@@ -36,6 +36,16 @@ enum class NodeStatus : int8_t {
   kCurrent = 3,  ///< being expanded this iteration
 };
 
+/// S keeps edge costs as 4-byte floats; every consumer of a cost that
+/// must agree with a store-served search has to round the same way.
+inline double StoreCost(double cost) {
+  return static_cast<double>(static_cast<float>(cost));
+}
+
+/// InvalidArgument naming the edge u -> v when `cost` is NaN or beyond the
+/// finite range of S's 4-byte float (it would be stored as inf).
+Status CheckStoreCost(NodeId u, NodeId v, double cost);
+
 class RelationalGraphStore {
  public:
   /// Fixed-point scale for stored coordinates.

@@ -257,6 +257,181 @@ TEST_F(PartitionedStoreTest, ShardedServerGlobalModeAndNoAffinity) {
   EXPECT_NEAR((*responses)[0].cost, ref->cost, 1e-12);
 }
 
+/// Four 2 x 2 clusters near the corners of a 100 x 100 square, far
+/// enough apart that each becomes its own partition under
+/// max_partition_nodes = 5 (the Hilbert curve visits the corners in the
+/// order A = (0,0), B = (0,100), C = (100,100), D = (100,0)). Cluster c's
+/// nodes are 4c .. 4c+3; callers add the edges.
+Graph FourClusterMap() {
+  Graph g;
+  const double corners[4][2] = {{0, 0}, {0, 100}, {100, 100}, {100, 0}};
+  for (const auto& c : corners) {
+    g.AddNode(c[0], c[1]);
+    g.AddNode(c[0] + 1, c[1]);
+    g.AddNode(c[0], c[1] + 1);
+    g.AddNode(c[0] + 1, c[1] + 1);
+  }
+  return g;
+}
+
+std::string SaveMap(const Graph& g, const char* tag) {
+  const std::string path =
+      ::testing::TempDir() + "/atis_partition_" + tag + ".atisg";
+  EXPECT_TRUE(SaveGraphFile(g, path).ok());
+  return path;
+}
+
+/// Every ordered pair against the flat reference, within 1e-9.
+void ExpectAllPairsExact(const PartitionedGraphStore& store) {
+  const NodeId n = static_cast<NodeId>(store.num_nodes());
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      auto stitched = store.StitchedDistance(s, t);
+      auto flat = store.GlobalDijkstra(s, t);
+      ASSERT_TRUE(stitched.ok()) << stitched.status().message();
+      ASSERT_TRUE(flat.ok()) << flat.status().message();
+      ASSERT_EQ(stitched->found, flat->found) << s << " -> " << t;
+      if (flat->found) {
+        EXPECT_NEAR(stitched->cost, flat->cost, 1e-9) << s << " -> " << t;
+      }
+    }
+  }
+}
+
+/// A zero-cost edge between distinct points makes v_max unbounded, so the
+/// potential must fall back to 0. Had the edge been left out of v_max
+/// (v_max = 5/3 from s -> v), the potential at v would be 6 > d(v, t) = 1
+/// and the search would stop at the direct s -> t edge (cost 5) instead of
+/// s -> v -> w -> t (cost 4).
+TEST_F(PartitionedStoreTest, ZeroCostEdgeFallsBackToDijkstra) {
+  Graph g;
+  const NodeId s = g.AddNode(5, 0);
+  const NodeId v = g.AddNode(0, 0);
+  const NodeId w = g.AddNode(9, 0);
+  const NodeId t = g.AddNode(10, 0);
+  ASSERT_TRUE(g.AddEdge(s, t, 5.0).ok());
+  ASSERT_TRUE(g.AddEdge(s, v, 3.0).ok());
+  ASSERT_TRUE(g.AddEdge(v, w, 0.0).ok());
+  ASSERT_TRUE(g.AddEdge(w, t, 1.0).ok());
+  ASSERT_TRUE(g.AddEdge(t, s, 5.0).ok());
+  const std::string path = SaveMap(g, "zero_cost");
+  // One partition, and one node per partition (the stitch then runs
+  // through overlay nodes).
+  for (const size_t max_nodes : {100u, 2u}) {
+    auto store = BuildStore(path, max_nodes);
+    ASSERT_NE(store, nullptr);
+    auto stitched = store->StitchedDistance(s, t);
+    ASSERT_TRUE(stitched.ok());
+    ASSERT_TRUE(stitched->found);
+    EXPECT_NEAR(stitched->cost, 4.0, 1e-12);
+    ExpectAllPairsExact(*store);
+  }
+}
+
+/// Both endpoints in one partition, with the shortest path leaving it and
+/// re-entering: the target's store labels must be reachable from
+/// overlay and ghost labels, not only from the source's own store.
+TEST_F(PartitionedStoreTest, SamePartitionPathLeavesAndReenters) {
+  Graph g = FourClusterMap();
+  // Cluster A: the direct in-partition route 0 -> 1 costs 500.
+  ASSERT_TRUE(g.AddEdge(0, 1, 500.0).ok());
+  // The detour through cluster B: 0 -> 4 -> 5 -> 1 costs 300.
+  ASSERT_TRUE(g.AddEdge(0, 4, 100.0).ok());
+  ASSERT_TRUE(g.AddEdge(4, 5, 100.0).ok());
+  ASSERT_TRUE(g.AddEdge(5, 1, 100.0).ok());
+  auto store = BuildStore(SaveMap(g, "reenter"), 5);
+  ASSERT_NE(store, nullptr);
+  ASSERT_EQ(store->PartitionOf(0), store->PartitionOf(1));
+  ASSERT_NE(store->PartitionOf(0), store->PartitionOf(4));
+  PartitionedGraphStore::QueryStats stats;
+  auto stitched = store->StitchedDistance(0, 1, &stats);
+  ASSERT_TRUE(stitched.ok());
+  ASSERT_TRUE(stitched->found);
+  EXPECT_FALSE(stats.cross_partition);
+  EXPECT_NEAR(stitched->cost, 300.0, 1e-9);
+  EXPECT_GT(stats.settled_overlay, 0u);
+  ExpectAllPairsExact(*store);
+}
+
+/// A cross-partition path through a third partition, which the query
+/// graph holds only as overlay nodes and customized entry -> exit arcs.
+TEST_F(PartitionedStoreTest, PathCrossesAThirdPartitionOnItsOverlay) {
+  Graph g = FourClusterMap();
+  // A -> B (enter at 4), through B 4 -> 6 -> 7 -> 5, B -> C (leave at 5).
+  ASSERT_TRUE(g.AddEdge(1, 4, 100.0).ok());
+  ASSERT_TRUE(g.AddEdge(4, 6, 2.0).ok());
+  ASSERT_TRUE(g.AddEdge(6, 7, 3.0).ok());
+  ASSERT_TRUE(g.AddEdge(7, 5, 4.0).ok());
+  ASSERT_TRUE(g.AddEdge(4, 5, 50.0).ok());  // a dearer in-B shortcut
+  ASSERT_TRUE(g.AddEdge(5, 8, 100.0).ok());
+  // Inside A and C.
+  ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
+  ASSERT_TRUE(g.AddEdge(8, 11, 1.5).ok());
+  auto store = BuildStore(SaveMap(g, "third"), 5);
+  ASSERT_NE(store, nullptr);
+  ASSERT_EQ(store->num_partitions(), 4u);
+  const int pa = store->PartitionOf(0);
+  const int pb = store->PartitionOf(4);
+  const int pc = store->PartitionOf(8);
+  ASSERT_NE(pa, pb);
+  ASSERT_NE(pb, pc);
+  ASSERT_NE(pa, pc);
+  PartitionedGraphStore::QueryStats stats;
+  auto stitched = store->StitchedDistance(0, 11, &stats);
+  ASSERT_TRUE(stitched.ok());
+  ASSERT_TRUE(stitched->found);
+  EXPECT_NEAR(stitched->cost, 1.0 + 100.0 + 9.0 + 100.0 + 1.5, 1e-9);
+  // B is crossed on its entry and exit overlay nodes alone; only A's and
+  // C's stores are searched.
+  EXPECT_EQ(stats.settled_overlay, 2u);
+  EXPECT_LE(stats.settled_source, store->partition_num_owned(pa));
+  EXPECT_LE(stats.settled_target, store->partition_num_owned(pc));
+  ExpectAllPairsExact(*store);
+}
+
+/// Regression guard for the goal-directed stop: a query between adjacent
+/// nodes settles a small fraction of its partition, not all of it.
+TEST_F(PartitionedStoreTest, AdjacentQuerySettlesFewStoreNodes) {
+  const std::string path = WriteTestMap(4, 12, "adjacent");
+  auto store = BuildStore(path, 800);
+  ASSERT_NE(store, nullptr);
+  ASSERT_EQ(store->num_partitions(), 1u);
+  const size_t owned = store->partition_num_owned(0);
+  ASSERT_GE(owned, 500u);
+  Rng rng(5);
+  for (int i = 0; i < 10; ++i) {
+    const NodeId s = static_cast<NodeId>(
+        rng.UniformInt(0, static_cast<int64_t>(store->num_nodes()) - 1));
+    auto rows = store->FetchAdjacency(s);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_FALSE(rows->empty());
+    const NodeId t = rows->front().end;
+    PartitionedGraphStore::QueryStats stats;
+    auto stitched = store->StitchedDistance(s, t, &stats);
+    ASSERT_TRUE(stitched.ok());
+    ASSERT_TRUE(stitched->found);
+    auto flat = store->GlobalDijkstra(s, t);
+    ASSERT_TRUE(flat.ok());
+    EXPECT_NEAR(stitched->cost, flat->cost, 1e-9);
+    EXPECT_LT(stats.settled_source + stats.settled_target, owned / 10)
+        << s << " -> " << t;
+  }
+}
+
+/// Costs that do not fit the store's 4-byte float are refused at build
+/// time, naming the edge, instead of being stored as inf.
+TEST_F(PartitionedStoreTest, BuildRejectsCostsBeyondFloatRange) {
+  Graph g = FourClusterMap();
+  ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
+  ASSERT_TRUE(g.AddEdge(1, 4, 1e39).ok());
+  auto store = PartitionedGraphStore::Build(SaveMap(g, "overflow"), &pool_,
+                                            {});
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(store.status().message().find("1 -> 4"), std::string::npos)
+      << store.status().message();
+}
+
 TEST_F(PartitionedStoreTest, EmptyMapBuildsZeroPartitions) {
   ContinentOptions options;
   options.num_cities = 0;

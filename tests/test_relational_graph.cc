@@ -397,6 +397,55 @@ TEST_F(RelationalGraphTest, StreamingLoadDegenerateBbox) {
   EXPECT_EQ(adj->size(), 2u);
 }
 
+/// S keeps edge costs as 4-byte floats: a cost beyond their finite range
+/// is refused with the edge named, never stored as inf.
+Graph OverflowCostGraph() {
+  Graph g;
+  g.AddNode(0, 0);
+  g.AddNode(1, 0);
+  g.AddNode(2, 0);
+  EXPECT_TRUE(g.AddEdge(0, 1, 1.0).ok());
+  EXPECT_TRUE(g.AddEdge(1, 2, 1e39).ok());
+  return g;
+}
+
+void ExpectNamesOverflowEdge(const Status& st) {
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("1 -> 2"), std::string::npos) << st.message();
+}
+
+TEST_F(RelationalGraphTest, LoadRejectsCostBeyondFloatRange) {
+  ExpectNamesOverflowEdge(store_.Load(OverflowCostGraph()));
+}
+
+TEST_F(RelationalGraphTest, StreamingLoadRejectsCostBeyondFloatRange) {
+  const std::string path =
+      ::testing::TempDir() + "/atis_streaming_overflow.atisg";
+  ASSERT_TRUE(SaveGraphFile(OverflowCostGraph(), path).ok());
+  ExpectNamesOverflowEdge(store_.LoadStreaming(path));
+}
+
+TEST_F(RelationalGraphTest, UpdateEdgeCostRejectsCostBeyondFloatRange) {
+  Graph g;
+  g.AddNode(0, 0);
+  g.AddNode(1, 0);
+  g.AddNode(2, 0);
+  ASSERT_TRUE(g.AddEdge(1, 2, 3.0).ok());
+  ASSERT_TRUE(store_.Load(g).ok());
+  ExpectNamesOverflowEdge(store_.UpdateEdgeCost(1, 2, 1e39));
+  ExpectNamesOverflowEdge(store_.UpdateEdgeCost(
+      1, 2, std::numeric_limits<double>::quiet_NaN()));
+  // The largest finite float is still a valid cost; the row is unchanged
+  // by the refused updates until then.
+  auto adj = store_.FetchAdjacency(1);
+  ASSERT_TRUE(adj.ok());
+  ASSERT_EQ(adj->size(), 1u);
+  EXPECT_EQ(adj->front().cost, 3.0);
+  ASSERT_TRUE(store_
+                  .UpdateEdgeCost(1, 2, std::numeric_limits<float>::max())
+                  .ok());
+}
+
 TEST_F(RelationalGraphTest, StreamingLoadRejectsBadFiles) {
   // Missing file.
   EXPECT_FALSE(store_.LoadStreaming("/nonexistent/a.atisg").ok());

@@ -649,6 +649,9 @@ TEST(RouteServerIngestTest, InvalidBatchesRejectWithoutPublishing) {
   EXPECT_TRUE(server.ApplyUpdates(negative).IsInvalidArgument());
   const std::vector<EdgeCostUpdate> unknown{{0, 24, 1.0}};  // no such edge
   EXPECT_TRUE(server.ApplyUpdates(unknown).IsNotFound());
+  // Beyond the stores' 4-byte float: refused before the commit point.
+  const std::vector<EdgeCostUpdate> overflow{{0, e0.to, 1e39}};
+  EXPECT_TRUE(server.ApplyUpdates(overflow).IsInvalidArgument());
   EXPECT_EQ(server.published_version(), 1u);
   EXPECT_EQ(server.ingest_stats().update_batches, 0u);
 }
